@@ -58,7 +58,7 @@ struct DesThroughput {
 
 #[derive(Serialize)]
 struct BatchThroughput {
-    /// Lanes priced in one structure-of-arrays pass (same seeds as the
+    /// Lanes priced in one batched call (same seeds as the
     /// scalar cache-on arm, same schedule, same event convention).
     lanes: u32,
     /// Worker threads the sharded batch pass had available.
@@ -154,7 +154,7 @@ struct BenchEval {
     smoke: bool,
     fig2_loop: Fig2Loop,
     des: DesThroughput,
-    /// Batched structure-of-arrays DES vs the scalar engine.
+    /// Batched DES (lanes sharing setup and memo) vs the scalar engine.
     batch: BatchThroughput,
     solver: SolverCandidates,
     /// CDCL vs the chronological DPLL oracle on large DAG encodings.
@@ -555,7 +555,7 @@ fn main() {
         des.speedup
     );
 
-    // --- Batched DES: all runs as lanes of one SoA pass. ----------------
+    // --- Batched DES: all runs as lanes of one batched call. -----------
     // Same schedule, same seeds, same event convention as the scalar
     // cache-on arm above; lanes shard across whatever cores this machine
     // has (per-lane results stay bit-identical either way).
@@ -796,9 +796,9 @@ fn main() {
         // Otherwise the honest bound is parity with the same-run scalar
         // engine (the batch engine must never cost throughput to exist).
         const BATCH_TARGET: f64 = 3.0;
-        // One core sees the SoA engine's column traffic without the
-        // sharding that pays for it: steady-state parity measures ~0.8x
-        // here (best-of-5). The floor guards against a catastrophic
+        // On few cores a batch runs the scalar engine lane after lane and
+        // saves only per-run setup and memo warm-up, so steady state sits
+        // near parity (best-of-5). The floor guards against a catastrophic
         // regression (an accidentally quadratic lane loop), not a perf
         // claim — the perf claim lives in the multi-core branch above.
         const BATCH_PARITY_FLOOR: f64 = 0.7;

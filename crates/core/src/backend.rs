@@ -116,8 +116,9 @@ pub trait ExecutionBackend: Sync {
     /// what `measure(schedule, run_indices[i])` would return.
     ///
     /// The default implementation is that serial loop. Backends with a
-    /// genuinely batched substrate (the simulator's structure-of-arrays
-    /// engine) override it to price all runs in one pass.
+    /// genuinely batched substrate (the simulator's batched runs, which
+    /// share setup and memo across lanes) override it to price all runs
+    /// in one call.
     ///
     /// # Errors
     ///
@@ -335,7 +336,7 @@ impl ExecutionBackend for SimBackend {
         // Same seed/fault derivation as `measure`, one lane per run index:
         // the batched engine guarantees per-lane bit-identity to the
         // scalar path, so this override is observationally equal to the
-        // default loop — just priced in one structure-of-arrays pass.
+        // default loop — just priced in one batched call.
         let faults = (!self.faults.is_empty()).then(|| self.faults.clone());
         let lanes: Vec<DesSeedSpec> = run_indices
             .iter()

@@ -11,13 +11,13 @@
 //! 3. **Determinism** — replaying the same plan yields a bit-identical
 //!    outcome (`Debug`-representation equality).
 //!
-//! Chain-shaped cells price all static runs through the batched
-//! structure-of-arrays engine: every seed's fault plan becomes one lane of
-//! a single `simulate_schedule_batch` pass, replayed as a second batched
-//! pass (determinism) and cross-checked lane-by-lane against the scalar
-//! engine (batch parity — a fourth invariant the per-seed sweep could not
-//! express). The harness prints the batched-vs-scalar static wall-clock so
-//! the nightly workflow can surface the reduction.
+//! Chain-shaped cells price all static runs as batched DES runs: every
+//! seed's fault plan becomes one lane of a single `simulate_schedule_batch`
+//! call, replayed as a second batched call (determinism) and cross-checked
+//! lane-by-lane against the scalar engine (batch parity — a fourth
+//! invariant the per-seed sweep could not express). The harness prints
+//! the batched-vs-scalar static wall-clock so the nightly workflow can
+//! surface the reduction.
 //!
 //! A violated invariant writes the failing plan to `--out` as JSON (the
 //! CI workflow uploads these as artifacts for local replay) and flips the
@@ -192,8 +192,8 @@ struct StaticBatch {
     scalar_elapsed: Duration,
 }
 
-/// Prices the static arm of all `seeds` in one structure-of-arrays pass
-/// (chain cells only — the batch engine has no fork/join mode yet).
+/// Prices the static arm of all `seeds` in one batched call (chain cells
+/// only — batched runs take chain schedules).
 fn run_static_batch(cell: &Cell, seeds: u64) -> Option<Result<StaticBatch, String>> {
     let StaticPipeline::Chain(schedule) = &cell.pipeline else {
         return None;

@@ -67,9 +67,10 @@ pub fn simulate_schedule(
 
 /// Batched counterpart of [`simulate_schedule`]: prices every lane in
 /// `lanes` (a seed plus optional fault plan each) over the same schedule
-/// in one structure-of-arrays pass, sharded across cores when more than
-/// one is available. Each returned [`RunReport`] is bit-identical to the
-/// scalar [`simulate_schedule`] run with that lane's seed and faults.
+/// in one batched call that shares setup and memo across lanes, sharded
+/// across cores when more than one is available. Each returned
+/// [`RunReport`] is bit-identical to the scalar [`simulate_schedule`] run
+/// with that lane's seed and faults.
 ///
 /// # Errors
 ///

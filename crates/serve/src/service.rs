@@ -74,7 +74,7 @@ pub struct ServeConfig {
     /// How many top candidates get DES-evaluated per solve.
     pub eval_candidates: usize,
     /// Evaluation lanes (distinct seeds) per candidate, priced in one
-    /// batched structure-of-arrays DES pass.
+    /// batched DES call.
     pub eval_lanes: usize,
     /// Cold-path candidate engine. [`SolverEngine::Exact`] streams the
     /// contiguous-partition space (fastest); [`SolverEngine::Sat`] keeps a

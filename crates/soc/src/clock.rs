@@ -92,7 +92,7 @@ impl NoiseModel {
     /// exactly the values that many successive [`NoiseModel::factor`]
     /// calls would return, consumed from the same RNG state. Bulk
     /// generation keeps the sampler's tables and the RNG block pipeline
-    /// hot, which is what the batched simulator's per-lane prefill
+    /// hot, which is what the static simulator's per-tenant prefill
     /// buffers rely on.
     pub fn fill_factors(&mut self, out: &mut [f64]) {
         match &self.dist {

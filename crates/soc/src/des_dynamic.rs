@@ -75,8 +75,9 @@ struct Running {
 ///
 /// # Errors
 ///
-/// Returns [`SocError::EmptySimulation`] for empty inputs and
-/// [`SocError::EmptyDevice`] when the device has no schedulable PU.
+/// Returns [`SocError::EmptySimulation`] for empty inputs,
+/// [`SocError::EmptyDevice`] when the device has no schedulable PU, and
+/// [`SocError::InvalidSpec`] when `faults` fails [`FaultSpec::validate`].
 pub fn simulate_dynamic(
     soc: &SocSpec,
     stages: &[WorkProfile],
@@ -86,6 +87,9 @@ pub fn simulate_dynamic(
 ) -> Result<RunReport, SocError> {
     if stages.is_empty() || cfg.tasks == 0 {
         return Err(SocError::EmptySimulation);
+    }
+    if let Some(spec) = faults {
+        spec.validate()?;
     }
     let pus: Vec<PuClass> = soc.schedulable_classes();
     if pus.is_empty() {
@@ -313,6 +317,9 @@ pub fn simulate_dynamic_dag(
 ) -> Result<RunReport, SocError> {
     if stages.is_empty() || cfg.tasks == 0 {
         return Err(SocError::EmptySimulation);
+    }
+    if let Some(spec) = faults {
+        spec.validate()?;
     }
     let n = stages.len();
     let mut edges: Vec<(usize, usize)> = deps.to_vec();

@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::PuClass;
+use crate::{PuClass, SocError};
 
 /// A DVFS-style slowdown ramp on one PU class: service times of chunks
 /// hosted on `class` are multiplied by a factor that interpolates linearly
@@ -124,6 +124,42 @@ impl FaultSpec {
             && self.stragglers.is_empty()
             && self.stage_faults.is_empty()
             && self.losses.is_empty()
+    }
+
+    /// Checks every numeric field before a simulator trusts the spec (it
+    /// is `Deserialize`, so it may come from anywhere): multipliers must be
+    /// finite and positive, instants and delays finite and non-negative.
+    /// Anything else would stall the event loop (NaN, infinity) or run
+    /// virtual time backwards (negative values).
+    ///
+    /// # Errors
+    ///
+    /// [`SocError::InvalidSpec`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), SocError> {
+        fn check(param: &'static str, value: f64, ok: bool) -> Result<(), SocError> {
+            if value.is_finite() && ok {
+                Ok(())
+            } else {
+                Err(SocError::InvalidSpec { param, value })
+            }
+        }
+        for r in &self.slowdowns {
+            check("slowdown.factor", r.factor, r.factor > 0.0)?;
+            check("slowdown.start_us", r.start_us, r.start_us >= 0.0)?;
+            check("slowdown.ramp_us", r.ramp_us, r.ramp_us >= 0.0)?;
+        }
+        for s in &self.stragglers {
+            check("straggler.factor", s.factor, s.factor > 0.0)?;
+        }
+        for f in &self.stage_faults {
+            if let StageFaultKind::Timeout { extra_us } = f.kind {
+                check("timeout.extra_us", extra_us, extra_us >= 0.0)?;
+            }
+        }
+        for l in &self.losses {
+            check("loss.at_us", l.at_us, l.at_us >= 0.0)?;
+        }
+        Ok(())
     }
 
     /// Product of all slowdown-ramp multipliers on `class` at `now`.

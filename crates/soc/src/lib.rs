@@ -21,9 +21,16 @@
 //! - [`InterferenceModel`] — per-device DVFS/firmware multipliers plus
 //!   dynamic DRAM bandwidth contention, calibrated against Fig. 7 of the
 //!   paper.
-//! - [`des`] — a discrete-event simulator that executes a pipelined chunk
-//!   schedule in virtual time, re-sampling interference against the set of
-//!   concurrently busy PUs.
+//! - [`des`] — the static discrete-event simulator: one engine that runs
+//!   a forest of chunk graphs (co-running tenants, each a chain or a
+//!   fork/join DAG with optional replica groups) in virtual time,
+//!   re-sampling interference against the set of concurrently busy PUs.
+//!   [`des::simulate`], [`simulate_dag`], [`simulate_multi`] and
+//!   [`simulate_batch`] are its entry points.
+//! - [`des_dynamic`] — a dynamic (StarPU-style) greedy scheduler, the
+//!   paper's related-work comparison point.
+//! - [`FaultSpec`] — deterministic fault injection for both simulators,
+//!   validated at every entry point.
 //!
 //! # Example
 //!
@@ -44,10 +51,7 @@ pub mod affinity;
 mod clock;
 pub mod cost;
 pub mod des;
-pub mod des_batch;
-pub mod des_dag;
 pub mod des_dynamic;
-pub mod des_multi;
 mod device;
 mod error;
 pub mod fault;
@@ -65,9 +69,10 @@ pub use bt_rt::run;
 pub use affinity::derive_affinity;
 pub use bt_rt::{AffinityMap, Micros};
 pub use clock::{seed_from_labels, NoiseModel, SimClock};
-pub use des_batch::{simulate_batch, simulate_batch_parallel, DesSeedSpec};
-pub use des_dag::{simulate_dag, DagPipelineSpec};
-pub use des_multi::{simulate_multi, MultiRunReport, TenantSpec};
+pub use des::{
+    simulate_batch, simulate_batch_parallel, simulate_dag, simulate_multi, DagPipelineSpec,
+    DesSeedSpec, MultiRunReport, TenantSpec,
+};
 pub use device::{devices, PerClass, SocBuilder, SocSpec};
 pub use error::SocError;
 pub use fault::{FaultSpec, PuLoss, SlowdownRamp, StageFault, StageFaultKind, Straggler};
