@@ -532,7 +532,8 @@ impl<P: Send + 'static> ExecutionBackend for HostBackend<P> {
     }
 
     fn measure_dag(&self, schedule: &DagSchedule, _run_index: u64) -> Result<Measurement, BtError> {
-        // Fail-fast only: the DAG relay has no resilient mode yet.
+        // Fail-fast, like `measure`: a measurement that lost tasks to a
+        // panic would price the schedule on partial work.
         let report = run_host_dag(&self.app, schedule, &self.threads, &self.run, None)?;
         Ok(Measurement::from_run(report).expect("fail-fast host runs always measure"))
     }

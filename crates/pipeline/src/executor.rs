@@ -2,28 +2,40 @@
 //! passing recycled TaskObjects through lock-free SPSC queues (§3.4 of the
 //! paper).
 //!
-//! Each dispatcher repeatedly: pops a TaskObject pointer from its input
-//! queue, dispatches its chunk's compute kernels in sequence (via the
-//! OpenMP-stand-in [`ParCtx`] worker pool), and pushes the pointer to the
-//! next queue. The head dispatcher doubles as the streaming source,
-//! recycling returned objects for new inputs; the tail records completion
-//! timestamps.
+//! Every host schedule runs through **one** relay dispatcher loop. The
+//! chunks are arranged in relay *slots* — a topological order of the
+//! schedule's chunk graph, where a replicated stage's two chunks share one
+//! slot — and each task object visits the slots in order, so every stage
+//! runs once per task in dependency order while different chunks
+//! pipeline different tasks concurrently. [`run_host`] lowers a chain to
+//! slots in chunk order; [`run_host_dag`] lowers a fork/join schedule.
 //!
-//! There is **one** executor, [`run_host`], parameterized by an optional
-//! [`ResilienceConfig`]:
+//! Each dispatcher repeatedly pops a TaskObject from its input ring, runs
+//! its chunk's compute kernels in sequence (via the OpenMP-stand-in
+//! [`ParCtx`] worker pool), and pushes the object to its output ring. In
+//! front of a replica pair the push picks lane `seq % 2`; behind it the
+//! pop alternates lanes, restoring sequence order. The head differs only
+//! in its input — the recycle ring plus admission, loading each new task's
+//! input — and the tail only in its output: it records the completion and
+//! pushes the object back to the head. End of stream is the head dropping
+//! its output rings, which every downstream pop sees as a disconnect.
 //!
-//! - `res == None` — *fail-fast*: a panicking stage kernel aborts the run
-//!   with [`PipelineError::StagePanicked`] after a clean shutdown of every
-//!   dispatcher.
+//! The loop is parameterized by an optional [`ResilienceConfig`]:
+//!
+//! - `res == None` — *fail-fast*: a panicking stage kernel or input source
+//!   aborts the run with [`PipelineError::StagePanicked`] after a clean
+//!   shutdown of every dispatcher.
 //! - `res == Some(_)` — *resilient*: panics are retried with backoff,
-//!   retries-exhausted tasks are tombstoned and counted as dropped, a
-//!   failure-budget overrun drains the pipeline gracefully, and a watchdog
-//!   unwinds a wedged pipeline. The run then *degrades* (see
-//!   [`RunReport::degraded`]) instead of erroring.
+//!   retries-exhausted tasks are tombstoned, flow on without executing and
+//!   count as dropped, a failure-budget overrun drains the pipeline
+//!   gracefully, and a watchdog unwinds a wedged pipeline. The run then
+//!   *degrades* (see [`RunReport::degraded`]) instead of erroring.
 //!
-//! Both modes share one dispatcher loop, one accounting path, and one
-//! report type — the unified [`RunReport`] also produced by the simulator.
+//! Both modes and every shape share one accounting path and one report
+//! type — the unified [`RunReport`] also produced by the simulator and
+//! by [`crate::run_multi_host`].
 
+use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -94,15 +106,11 @@ pub enum PipelineError {
     /// Schedule and application disagree on the stage-dependency graph —
     /// e.g. a cached DAG plan deserialized against a reshaped app.
     GraphMismatch,
-    /// Resilient execution was requested for a genuinely fork/join
-    /// schedule; the host executor's retry/tombstone machinery currently
-    /// covers chain-shaped schedules only (the simulator prices DAG
-    /// faults; see `simulate_dag_schedule`).
-    ResilienceUnsupported,
     /// `tasks` was zero, or a run measured nothing.
     NoTasks,
-    /// A stage kernel panicked in fail-fast mode; the pipeline was shut
-    /// down cleanly. Resilient runs degrade instead of returning this.
+    /// A stage kernel (or the head's input source) panicked in fail-fast
+    /// mode; the pipeline was shut down cleanly. Resilient runs degrade
+    /// instead of returning this.
     StagePanicked {
         /// Index of the chunk whose kernel panicked.
         chunk: usize,
@@ -121,10 +129,6 @@ impl std::fmt::Display for PipelineError {
             PipelineError::GraphMismatch => {
                 f.write_str("schedule and application disagree on the stage-dependency graph")
             }
-            PipelineError::ResilienceUnsupported => f.write_str(
-                "resilient host execution supports chain-shaped schedules only \
-                 (use fail-fast, or the DAG simulator for fault studies)",
-            ),
             PipelineError::NoTasks => f.write_str("at least one task is required"),
             PipelineError::StagePanicked { chunk } => {
                 write!(f, "a stage kernel panicked in chunk {chunk}")
@@ -149,7 +153,17 @@ impl From<bt_soc::SocError> for PipelineError {
     }
 }
 
-/// Resilience policy of [`run_host`]; `None` means fail-fast.
+/// The stage-count check every host entry point starts with.
+pub(crate) fn check_stages(app: usize, schedule: usize) -> Result<(), PipelineError> {
+    if app == schedule {
+        Ok(())
+    } else {
+        Err(PipelineError::StageMismatch { app, schedule })
+    }
+}
+
+/// Resilience policy of [`run_host`] and [`run_host_dag`]; `None` means
+/// fail-fast.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Per-dispatcher watchdog on blocking input pops. When a dispatcher
@@ -180,28 +194,23 @@ impl Default for ResilienceConfig {
     }
 }
 
-enum Msg<P> {
-    Task(Box<TaskObject<P>>),
-    Stop,
-}
-
-/// Per-dispatcher results collected at join time.
+/// One chunk's results, collected when its dispatcher (or, in
+/// [`crate::run_multi_host`], its station) finishes.
 #[derive(Default)]
-struct ChunkOutput {
-    /// Entry instants per seq (head dispatcher only).
-    entries: Vec<Instant>,
-    /// `(seq, residence, finished_at)` per task (tail dispatcher only).
-    completions: Vec<(u64, Duration, Instant)>,
+pub(crate) struct ChunkOutput {
+    /// Entry instants per admitted task (head chunk only).
+    pub(crate) entries: Vec<Instant>,
+    /// `(seq, residence, finished_at)` per completed task (tail only).
+    pub(crate) completions: Vec<(u64, Duration, Instant)>,
+    /// Tombstoned tasks retired (tail only).
+    pub(crate) tombstones: u64,
     /// `(task, start, end)` of every chunk execution. Always recorded: the
     /// measurement window is only known after the run, so computing
     /// in-window busy time (utilization) requires the raw spans.
-    spans: Vec<(u64, Instant, Instant)>,
-    /// Telemetry counters (zeroed unless counter collection is on).
-    counters: DispatcherCounters,
-}
-
-fn w_fallback(entries: &[Instant]) -> Instant {
-    entries.first().copied().unwrap_or_else(Instant::now)
+    pub(crate) spans: Vec<(u64, Instant, Instant)>,
+    /// Ring-wait telemetry counters (zero unless counters are on); task
+    /// count and busy time are derived from `spans`.
+    pub(crate) counters: DispatcherCounters,
 }
 
 /// Blocking push that aborts (returning `false`) once the halt flag is
@@ -356,17 +365,305 @@ fn pop_watchdog<T>(
     }
 }
 
+/// One relay dispatcher: a schedule chunk and the stages it runs per
+/// task, in dependency order.
+struct RelayChunk {
+    /// The chunk's index in the caller's schedule (named by errors and
+    /// degrade reasons).
+    id: usize,
+    pu: PuClass,
+    stages: Vec<usize>,
+}
+
+type Lanes<P> = (
+    Vec<spsc::Consumer<Box<TaskObject<P>>>>,
+    Vec<spsc::Producer<Box<TaskObject<P>>>>,
+);
+
+/// What every dispatcher of one relay run shares.
+struct Relay<'a, P> {
+    app: &'a Application<P>,
+    cfg: &'a RunConfig,
+    res: Option<&'a ResilienceConfig>,
+    /// Tasks the head admits (`u64::MAX` in duration mode).
+    total: u64,
+    deadline: Option<Instant>,
+    signals: DegradeSignals,
+    /// Schedule index of the chunk whose fail-fast panic ended the run.
+    failed_chunk: AtomicUsize,
+}
+
+impl<P> Relay<'_, P> {
+    /// One dispatcher's loop (see the module docs). `head` pops the
+    /// recycle ring and admits; `tail` records completions; with two
+    /// inputs the pops alternate lanes, with two outputs a task takes lane
+    /// `seq % 2`. A lane whose producer is gone is finished unless the
+    /// run is halting, which ends the loop at once.
+    fn dispatch(
+        &self,
+        chunk: &RelayChunk,
+        (head, tail): (bool, bool),
+        ctx: &ParCtx,
+        (mut inputs, mut outputs): Lanes<P>,
+    ) -> ChunkOutput {
+        let halt = &self.signals.halt;
+        let watchdog = self.res.and_then(|r| r.watchdog);
+        let count = self.cfg.telemetry.counters;
+        let mut out = ChunkOutput::default();
+        let mut failures = 0u32;
+
+        // One task's chunk execution; the head loads the task's input in
+        // the same attempt, outside the span. Returns whether the object
+        // keeps flowing. Fail-fast: one attempt, and a panic records the
+        // chunk, halts the pipeline and returns `false`. Resilient:
+        // retried with doubling backoff; a task whose attempts are all
+        // spent is tombstoned and keeps flowing, and a chunk past its
+        // failure budget degrades the run (the head stops admitting).
+        let mut run_chunk = |obj: &mut TaskObject<P>, spans: &mut Vec<_>| -> bool {
+            let mut wait = self.res.map_or(Duration::ZERO, |r| r.retry_backoff);
+            for attempt in 0..=self.res.map_or(0, |r| r.retries) {
+                if attempt > 0 {
+                    std::thread::sleep(wait);
+                    wait *= 2;
+                }
+                let mut t0 = Instant::now();
+                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    if head {
+                        self.app.load_input(&mut obj.payload, obj.seq);
+                        t0 = Instant::now();
+                    }
+                    for &s in &chunk.stages {
+                        self.app.stages()[s].run(&mut obj.payload, ctx);
+                    }
+                }));
+                spans.push((obj.seq, t0, Instant::now()));
+                if result.is_ok() {
+                    return true;
+                }
+            }
+            let Some(res) = self.res else {
+                self.failed_chunk
+                    .compare_exchange(usize::MAX, chunk.id, Ordering::SeqCst, Ordering::SeqCst)
+                    .ok();
+                halt.store(true, Ordering::SeqCst);
+                return false;
+            };
+            obj.dropped = true;
+            failures += 1;
+            // Any tombstone makes the run degraded; only a budget overrun
+            // additionally stops the head from admitting.
+            self.signals.report(1, chunk.id);
+            if failures > res.max_task_failures {
+                self.signals.kernel_failures(chunk.id);
+            }
+            true
+        };
+
+        let mut finished = [false; 2];
+        let mut lane = 0;
+        let mut seq = 0u64;
+        loop {
+            if head
+                && (seq == self.total
+                    || self.signals.degrade.load(Ordering::Relaxed)
+                    || self.deadline.is_some_and(|d| Instant::now() >= d))
+            {
+                break;
+            }
+            if finished[lane] {
+                lane = (lane + 1) % inputs.len();
+                if finished[lane] {
+                    break;
+                }
+            }
+            let t0 = count.then(Instant::now);
+            let popped = pop_watchdog(&mut inputs[lane], halt, watchdog);
+            if let Some(t0) = t0 {
+                out.counters.record_blocked_pop(t0.elapsed());
+            }
+            let mut obj = match popped {
+                ResilientPop::Got(obj) => obj,
+                ResilientPop::Stopped if !halt.load(Ordering::Relaxed) => {
+                    finished[lane] = true;
+                    continue;
+                }
+                ResilientPop::Stopped => break,
+                ResilientPop::Starved => {
+                    self.signals.watchdog(chunk.id);
+                    break;
+                }
+            };
+            if halt.load(Ordering::Relaxed) {
+                break;
+            }
+            lane = (lane + 1) % inputs.len();
+            if head {
+                obj.recycle(seq);
+                seq += 1;
+                out.entries.push(obj.entered.expect("stamped by recycle"));
+            }
+            if !obj.dropped && !run_chunk(&mut obj, &mut out.spans) {
+                break;
+            }
+            if tail {
+                if obj.dropped {
+                    out.tombstones += 1;
+                } else {
+                    let now = Instant::now();
+                    let entered = obj.entered.expect("stamped by the head");
+                    out.completions.push((obj.seq, now - entered, now));
+                }
+            }
+            let to = if outputs.len() == 2 { obj.seq & 1 } else { 0 };
+            if !push_timed(
+                &mut outputs[to as usize],
+                obj,
+                halt,
+                count,
+                &mut out.counters,
+            ) {
+                break;
+            }
+        }
+        out
+    }
+}
+
+/// Runs relay `slots` (each one chunk, or a replica pair) over `app` — the
+/// one executor behind [`run_host`] and [`run_host_dag`].
+fn relay<P: Send + 'static>(
+    app: &Application<P>,
+    slots: Vec<Vec<RelayChunk>>,
+    threads: &PuThreads,
+    cfg: &RunConfig,
+    res: Option<&ResilienceConfig>,
+) -> Result<RunReport, PipelineError> {
+    if cfg.tasks == 0 {
+        return Err(PipelineError::NoTasks);
+    }
+    let k: usize = slots.iter().map(Vec::len).sum();
+    let buffers = if cfg.buffers == 0 {
+        k + 1
+    } else {
+        cfg.buffers as usize
+    };
+    let channel = || spsc::channel(buffers).expect("capacity is at least 1");
+
+    // Rings between consecutive slots: one, or one lane per replica when
+    // either side is the replica pair. The recycle ring closes the loop.
+    let mut rings: Vec<Lanes<P>> = (0..k).map(|_| (Vec::new(), Vec::new())).collect();
+    let mut first = 0;
+    for w in slots.windows(2) {
+        let (up, down) = (w[0].len(), w[1].len());
+        for l in 0..up.max(down) {
+            let (tx, rx) = channel();
+            rings[first + l.min(up - 1)].1.push(tx);
+            rings[first + up + l.min(down - 1)].0.push(rx);
+        }
+        first += up;
+    }
+    let (mut recycle_tx, recycle_rx) = channel();
+    for _ in 0..buffers {
+        let obj = Box::new(TaskObject::new(app.new_payload()));
+        recycle_tx
+            .push(obj)
+            .unwrap_or_else(|_| unreachable!("capacity equals the pool size"));
+    }
+    rings[0].0.push(recycle_rx);
+    rings[k - 1].1.push(recycle_tx);
+
+    let shared = Relay {
+        app,
+        cfg,
+        res,
+        total: match cfg.duration {
+            Some(_) => u64::MAX,
+            None => u64::from(cfg.tasks + cfg.warmup),
+        },
+        deadline: cfg.duration.map(|d| Instant::now() + d),
+        signals: DegradeSignals::new(),
+        failed_chunk: AtomicUsize::new(usize::MAX),
+    };
+    let outputs: Vec<ChunkOutput> = std::thread::scope(|scope| {
+        let handles: Vec<_> = slots
+            .iter()
+            .flatten()
+            .zip(rings)
+            .enumerate()
+            .map(|(pos, (chunk, ring))| {
+                let ctx = ParCtx::new(threads.threads(chunk.pu));
+                let pin_cores: Vec<usize> = cfg
+                    .affinity
+                    .as_ref()
+                    .map(|m| m.pinnable(chunk.pu).to_vec())
+                    .unwrap_or_default();
+                let shared = &shared;
+                scope.spawn(move || {
+                    // Best-effort pinning; worker threads inherit the mask.
+                    crate::affinity::pin_current_thread(&pin_cores);
+                    shared.dispatch(chunk, (pos == 0, pos == k - 1), &ctx, ring)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("dispatcher threads do not panic"))
+            .collect()
+    });
+
+    let panicked = shared.failed_chunk.load(Ordering::SeqCst);
+    if panicked != usize::MAX {
+        return Err(PipelineError::StagePanicked { chunk: panicked });
+    }
+    let submitted = outputs[0].entries.len() as u64;
+    let completed = outputs[k - 1].completions.len() as u64;
+    let dropped = submitted - completed;
+    debug_assert!(
+        res.is_some() || dropped == 0,
+        "fail-fast run lost tasks without erroring"
+    );
+    if cfg.duration.is_none() && res.is_none() {
+        debug_assert_eq!(completed, shared.total);
+    }
+
+    // A fail-fast run that measured nothing (duration shorter than the
+    // warmup) is an error, like the zero-task configuration; a clean
+    // resilient run likewise has nothing to report without measurements.
+    if res.is_none() && completed <= u64::from(cfg.warmup) {
+        return Err(PipelineError::NoTasks);
+    }
+    let degraded = shared.signals.reason();
+    let (stats, timeline, telemetry) = assemble(&outputs, cfg);
+    if res.is_some() && degraded.is_none() && dropped == 0 && stats.is_none() {
+        return Err(PipelineError::NoTasks);
+    }
+    Ok(RunReport {
+        submitted,
+        completed,
+        dropped,
+        faults_fired: outputs[k - 1].tombstones as u32,
+        stats,
+        timeline,
+        telemetry,
+        degraded,
+    })
+}
+
 /// Executes `schedule` over `app` on the host with real threads, streaming
 /// `cfg.tasks + cfg.warmup` inputs through the pipeline (or admitting until
 /// [`RunConfig::duration`] elapses).
 ///
+/// The chain runs as a relay in chunk order; no graph check is made, so a
+/// fork/join application runs here too whenever its stage indices are a
+/// topological order (a homogeneous baseline, say).
+///
 /// `res` selects the failure policy:
 ///
-/// - `None` — **fail-fast**: a panicking stage kernel shuts every
-///   dispatcher down and the run errors with
+/// - `None` — **fail-fast**: a panicking stage kernel or input source
+///   shuts every dispatcher down and the run errors with
 ///   [`PipelineError::StagePanicked`].
 /// - `Some(res)` — **resilient**: never a hang, never a panic escaping the
-///   executor. A panicking kernel is retried up to
+///   executor. A panicking kernel or source is retried up to
 ///   [`ResilienceConfig::retries`] times (backoff doubling from
 ///   [`ResilienceConfig::retry_backoff`]); a task whose retries are
 ///   exhausted is tombstoned ([`TaskObject::dropped`]) and keeps flowing so
@@ -388,7 +685,7 @@ fn pop_watchdog<T>(
 /// # Errors
 ///
 /// Returns [`PipelineError`] for configuration errors (stage mismatch,
-/// zero tasks), a fail-fast kernel panic, or a run that measured nothing.
+/// zero tasks), a fail-fast panic, or a run that measured nothing.
 pub fn run_host<P: Send + 'static>(
     app: &Application<P>,
     schedule: &Schedule,
@@ -396,365 +693,44 @@ pub fn run_host<P: Send + 'static>(
     cfg: &RunConfig,
     res: Option<&ResilienceConfig>,
 ) -> Result<RunReport, PipelineError> {
-    if schedule.stage_count() != app.stage_count() {
-        return Err(PipelineError::StageMismatch {
-            app: app.stage_count(),
-            schedule: schedule.stage_count(),
-        });
-    }
-    if cfg.tasks == 0 {
-        return Err(PipelineError::NoTasks);
-    }
-
-    let chunks = schedule.chunks();
-    let k = chunks.len();
-    // In duration mode the head admits tasks until the deadline.
-    let duration_mode = cfg.duration.is_some();
-    let total = if duration_mode {
-        u64::MAX
-    } else {
-        (cfg.tasks + cfg.warmup) as u64
-    };
-    let deadline = cfg.duration.map(|d| Instant::now() + d);
-    let buffers = if cfg.buffers == 0 {
-        k + 1
-    } else {
-        cfg.buffers as usize
-    };
-
-    // Queues: inter-chunk channels 0..k-1 carry Msg; the recycle channel
-    // carries bare boxes back to the head.
-    let mut producers: Vec<Option<spsc::Producer<Msg<P>>>> = Vec::new();
-    let mut consumers: Vec<Option<spsc::Consumer<Msg<P>>>> = Vec::new();
-    for _ in 1..k {
-        let (tx, rx) = spsc::channel(buffers.max(1)).expect("capacity is at least 1");
-        producers.push(Some(tx));
-        consumers.push(Some(rx));
-    }
-    let (mut recycle_tx, recycle_rx) =
-        spsc::channel::<Box<TaskObject<P>>>(buffers.max(1)).expect("capacity is at least 1");
-    for _ in 0..buffers {
-        let obj = Box::new(TaskObject::new(app.new_payload()));
-        recycle_tx
-            .push(obj)
-            .unwrap_or_else(|_| unreachable!("capacity equals the pool size"));
-    }
-
-    let signals = DegradeSignals::new();
-    let failed_chunk = AtomicUsize::new(usize::MAX);
-    let submitted = AtomicUsize::new(0);
-    let tail_dropped = AtomicUsize::new(0);
-    let outputs: Vec<ChunkOutput> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(k);
-        let mut recycle_rx = Some(recycle_rx);
-        let mut recycle_tx = Some(recycle_tx);
-
-        for (ci, chunk) in chunks.iter().copied().enumerate() {
-            let is_head = ci == 0;
-            let is_tail = ci == k - 1;
-            let input = if is_head {
-                None
-            } else {
-                Some(consumers[ci - 1].take().expect("each consumer moved once"))
-            };
-            let output = if is_tail {
-                None
-            } else {
-                Some(producers[ci].take().expect("each producer moved once"))
-            };
-            let head_rx = if is_head { recycle_rx.take() } else { None };
-            let tail_tx = if is_tail { recycle_tx.take() } else { None };
-            let ctx = ParCtx::new(threads.threads(chunk.pu));
-            let pin_cores: Vec<usize> = cfg
-                .affinity
-                .as_ref()
-                .map(|m| m.pinnable(chunk.pu).to_vec())
-                .unwrap_or_default();
-
-            let signals = &signals;
-            let failed_chunk = &failed_chunk;
-            let submitted = &submitted;
-            let tail_dropped = &tail_dropped;
-            handles.push(scope.spawn(move || {
-                // Best-effort pinning; worker threads inherit the mask.
-                crate::affinity::pin_current_thread(&pin_cores);
-
-                let mut out = ChunkOutput::default();
-                let mut input = input;
-                let mut output = output;
-                let mut head_rx = head_rx;
-                let mut tail_tx = tail_tx;
-                let halt = &signals.halt;
-                let watchdog = res.and_then(|r| r.watchdog);
-
-                let count = cfg.telemetry.counters;
-                let mut counters = DispatcherCounters::new();
-                let mut busy = Duration::ZERO;
-                let mut spans: Vec<(u64, Instant, Instant)> = Vec::new();
-                let mut failures = 0u32;
-
-                // One task's chunk execution. Returns whether the object
-                // should keep flowing downstream.
-                //
-                // Fail-fast (`res == None`): a single attempt; a panic
-                // records the chunk, halts the pipeline, and returns
-                // `false`. Resilient: retried with doubling backoff; a
-                // task whose attempts are all spent is tombstoned rather
-                // than aborting the pipeline (so it always returns
-                // `true`), and a chunk burning through its failure budget
-                // degrades the run gracefully (the head stops admitting).
-                let mut run_chunk = |obj: &mut TaskObject<P>, ctx: &ParCtx| -> bool {
-                    let retries = res.map_or(0, |r| r.retries);
-                    let mut wait = res.map_or(Duration::ZERO, |r| r.retry_backoff);
-                    for attempt in 0..=retries {
-                        if attempt > 0 {
-                            std::thread::sleep(wait);
-                            wait *= 2;
-                        }
-                        let t0 = Instant::now();
-                        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            for s in chunk.first_stage..=chunk.last_stage {
-                                app.stages()[s].run(&mut obj.payload, ctx);
-                            }
-                        }));
-                        let t1 = Instant::now();
-                        busy += t1 - t0;
-                        spans.push((obj.seq, t0, t1));
-                        if result.is_ok() {
-                            return true;
-                        }
-                    }
-                    let Some(res) = res else {
-                        // Fail-fast: first panic ends the run.
-                        failed_chunk
-                            .compare_exchange(usize::MAX, ci, Ordering::SeqCst, Ordering::SeqCst)
-                            .ok();
-                        halt.store(true, Ordering::SeqCst);
-                        return false;
-                    };
-                    obj.dropped = true;
-                    failures += 1;
-                    // Any tombstone makes the run degraded; only a budget
-                    // overrun additionally stops the head from admitting.
-                    signals.report(1, ci);
-                    if failures > res.max_task_failures {
-                        signals.kernel_failures(ci);
-                    }
-                    true
-                };
-
-                let pop_in = |rx: &mut spsc::Consumer<Msg<P>>,
-                              counters: &mut DispatcherCounters|
-                 -> ResilientPop<Msg<P>> {
-                    let t0 = count.then(Instant::now);
-                    let r = pop_watchdog(rx, halt, watchdog);
-                    if let Some(t0) = t0 {
-                        counters.record_blocked_pop(t0.elapsed());
-                    }
-                    r
-                };
-
-                if is_head {
-                    let rx = head_rx.as_mut().expect("head owns the recycle consumer");
-                    for seq in 0..total {
-                        if signals.degrade.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if let Some(d) = deadline {
-                            if Instant::now() >= d {
-                                break;
-                            }
-                        }
-                        let t0 = count.then(Instant::now);
-                        let popped = pop_watchdog(rx, halt, watchdog);
-                        if let Some(t0) = t0 {
-                            counters.record_blocked_pop(t0.elapsed());
-                        }
-                        let mut obj = match popped {
-                            ResilientPop::Got(o) => o,
-                            ResilientPop::Stopped => break,
-                            ResilientPop::Starved => {
-                                signals.watchdog(ci);
-                                break;
-                            }
-                        };
-                        obj.recycle(seq);
-                        app.load_input(&mut obj.payload, seq);
-                        out.entries.push(obj.entered.expect("stamped by recycle"));
-                        submitted.fetch_add(1, Ordering::Relaxed);
-                        if !run_chunk(&mut obj, &ctx) {
-                            break;
-                        }
-                        if is_tail {
-                            if obj.dropped {
-                                tail_dropped.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                let entered = obj.entered.expect("stamped");
-                                let now = Instant::now();
-                                out.completions.push((seq, now - entered, now));
-                            }
-                            if !push_timed(
-                                tail_tx.as_mut().expect("tail owns the recycle producer"),
-                                obj,
-                                halt,
-                                count,
-                                &mut counters,
-                            ) {
-                                break;
-                            }
-                        } else if !push_timed(
-                            output.as_mut().expect("non-tail has an output queue"),
-                            Msg::Task(obj),
-                            halt,
-                            count,
-                            &mut counters,
-                        ) {
-                            break;
-                        }
-                    }
-                    if !is_tail {
-                        let _ = push_until(output.as_mut().expect("non-tail"), Msg::Stop, halt);
-                    }
-                } else {
-                    let rx = input.as_mut().expect("non-head has an input queue");
-                    loop {
-                        match pop_in(rx, &mut counters) {
-                            ResilientPop::Stopped => break,
-                            ResilientPop::Starved => {
-                                signals.watchdog(ci);
-                                break;
-                            }
-                            ResilientPop::Got(Msg::Stop) => {
-                                if let Some(tx) = output.as_mut() {
-                                    let _ = push_until(tx, Msg::Stop, halt);
-                                }
-                                break;
-                            }
-                            ResilientPop::Got(Msg::Task(mut obj)) => {
-                                if halt.load(Ordering::Relaxed) {
-                                    continue; // drain to unblock upstream
-                                }
-                                if !obj.dropped && !run_chunk(&mut obj, &ctx) {
-                                    // Fail-fast panic: tell downstream,
-                                    // keep draining to unblock upstream.
-                                    if let Some(tx) = output.as_mut() {
-                                        let _ = push_until(tx, Msg::Stop, halt);
-                                    }
-                                    continue;
-                                }
-                                if is_tail {
-                                    if obj.dropped {
-                                        tail_dropped.fetch_add(1, Ordering::Relaxed);
-                                    } else {
-                                        let entered = obj.entered.expect("stamped by head");
-                                        let now = Instant::now();
-                                        out.completions.push((obj.seq, now - entered, now));
-                                    }
-                                    if !push_timed(
-                                        tail_tx.as_mut().expect("tail recycles"),
-                                        obj,
-                                        halt,
-                                        count,
-                                        &mut counters,
-                                    ) {
-                                        break;
-                                    }
-                                } else if !push_timed(
-                                    output.as_mut().expect("middle chunk"),
-                                    Msg::Task(obj),
-                                    halt,
-                                    count,
-                                    &mut counters,
-                                ) {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                if count {
-                    counters.tasks = spans.len() as u64;
-                    counters.busy = busy;
-                }
-                out.counters = counters;
-                out.spans = spans;
-                out
-            }));
-        }
-
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("dispatcher threads do not panic"))
-            .collect()
-    });
-
-    let panicked = failed_chunk.load(Ordering::SeqCst);
-    if panicked != usize::MAX {
-        return Err(PipelineError::StagePanicked { chunk: panicked });
-    }
-
-    let submitted = submitted.load(Ordering::SeqCst) as u64;
-    let completed = outputs[k - 1].completions.len() as u64;
-    let dropped = submitted - completed;
-    debug_assert!(
-        res.is_some() || dropped == 0,
-        "fail-fast run lost tasks without erroring"
-    );
-    if !duration_mode && res.is_none() {
-        debug_assert_eq!(completed, total);
-    }
-
-    // A fail-fast run that measured nothing (duration shorter than the
-    // warmup) is an error, like the zero-task configuration; a clean
-    // resilient run likewise has nothing to report without measurements.
-    let finished = outputs[k - 1].completions.len();
-    if res.is_none() && finished.saturating_sub(cfg.warmup as usize) == 0 {
-        return Err(PipelineError::NoTasks);
-    }
-    let degraded = signals.reason();
-    let (stats, timeline, telemetry) = assemble(&outputs, cfg, k);
-    if res.is_some() && degraded.is_none() && dropped == 0 && stats.is_none() {
-        return Err(PipelineError::NoTasks);
-    }
-
-    Ok(RunReport {
-        submitted,
-        completed,
-        dropped,
-        faults_fired: tail_dropped.load(Ordering::SeqCst) as u32,
-        stats,
-        timeline,
-        telemetry,
-        degraded,
-    })
+    check_stages(app.stage_count(), schedule.stage_count())?;
+    let slots = schedule
+        .chunks()
+        .iter()
+        .enumerate()
+        .map(|(id, c)| {
+            vec![RelayChunk {
+                id,
+                pu: c.pu,
+                stages: (c.first_stage..=c.last_stage).collect(),
+            }]
+        })
+        .collect();
+    relay(app, slots, threads, cfg, res)
 }
 
 /// Executes a fork/join `schedule` over `app` on the host with real
-/// threads — the DAG generalization of [`run_host`].
+/// threads — the DAG form of [`run_host`], through the same relay and with
+/// the same failure policies.
 ///
-/// Chain-shaped schedules (no replication, canonical chain graph) delegate
-/// to [`run_host`] outright, so everything expressible in the linear model
-/// behaves bit-identically, resilience included. Genuine DAGs run as a
-/// *relay*: the chunks are arranged in a topological order of the
-/// schedule's chunk quotient graph and each task object visits them in
-/// that order over the existing SPSC rings, so every stage runs exactly
-/// once per task in dependency order while different chunks pipeline
-/// different tasks concurrently. A replicated stage occupies one relay
-/// slot with two dispatcher threads: the upstream chunk splits the task
-/// stream round-robin (`seq % 2`, one ring per replica) and the
-/// downstream chunk merges by popping the rings in alternation, restoring
-/// sequence order deterministically.
+/// The relay slots follow a topological order of the schedule's chunk
+/// quotient graph (smallest chunk index first among ready slots), so every
+/// stage runs exactly once per task in dependency order. A replicated
+/// stage occupies one slot with two dispatcher threads: the upstream chunk
+/// splits the task stream round-robin (`seq % 2`, one ring per replica)
+/// and the downstream chunk merges by popping the rings in alternation,
+/// restoring sequence order deterministically. Tombstones split and merge
+/// like any other task, so resilient runs keep the alternation in step.
 ///
 /// [`RunStats::chunk_utilization`] and the timeline follow the relay
-/// (topological) chunk order, with the replica pair adjacent.
+/// (topological) chunk order, with the replica pair adjacent; errors and
+/// degrade reasons name chunks by their schedule index.
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError::StageMismatch`] / [`PipelineError::GraphMismatch`]
-/// on schedule/application disagreement, [`PipelineError::ResilienceUnsupported`]
-/// when `res` is `Some` for a genuinely fork/join schedule (the
-/// retry/tombstone machinery covers chains only; DAG fault studies run in
-/// the simulator), and otherwise errors as [`run_host`] does.
+/// on schedule/application disagreement, and otherwise errors as
+/// [`run_host`] does.
 pub fn run_host_dag<P: Send + 'static>(
     app: &Application<P>,
     schedule: &DagSchedule,
@@ -762,355 +738,56 @@ pub fn run_host_dag<P: Send + 'static>(
     cfg: &RunConfig,
     res: Option<&ResilienceConfig>,
 ) -> Result<RunReport, PipelineError> {
-    if schedule.stage_count() != app.stage_count() {
-        return Err(PipelineError::StageMismatch {
-            app: app.stage_count(),
-            schedule: schedule.stage_count(),
-        });
-    }
+    check_stages(app.stage_count(), schedule.stage_count())?;
     if !crate::sim::same_graph(schedule.graph(), app.graph()) {
         return Err(PipelineError::GraphMismatch);
     }
-    if let Some(linear) = schedule.as_linear() {
-        return run_host(app, &linear, threads, cfg, res);
-    }
-    if res.is_some() {
-        return Err(PipelineError::ResilienceUnsupported);
-    }
-    if cfg.tasks == 0 {
-        return Err(PipelineError::NoTasks);
-    }
-
     let chunks = schedule.chunks();
-    let k = chunks.len();
-
-    // Relay slots: each chunk is its own slot except the replica pair,
-    // which shares one. Slots are ordered topologically over the chunk
-    // quotient graph (smallest-index-first for determinism), so the relay
-    // respects every stage dependency.
-    let (rep_a, rep_b) = schedule
-        .replica_pair()
-        .map_or((usize::MAX, usize::MAX), |(a, b)| (a, b));
-    let mut slot_of = vec![0usize; k];
-    let mut slots: Vec<Vec<usize>> = Vec::new();
-    for c in 0..k {
-        if c == rep_b {
-            slot_of[c] = slot_of[rep_a];
-            slots[slot_of[rep_a]].push(c);
-        } else {
-            slot_of[c] = slots.len();
-            slots.push(vec![c]);
-        }
-    }
-    let m = slots.len();
-    let mut sedges: Vec<(usize, usize)> = schedule
+    // The replica pair is adjacent, so its second chunk shares the
+    // first's slot and every later chunk's slot shifts down by one.
+    let rep_b = schedule.replica_pair().map_or(usize::MAX, |(_, b)| b);
+    let slot_of = |c: usize| c - usize::from(c >= rep_b);
+    let m = slot_of(chunks.len() - 1) + 1;
+    let mut edges: Vec<(usize, usize)> = schedule
         .chunk_edges()
         .iter()
-        .map(|&(u, v)| (slot_of[u], slot_of[v]))
+        .map(|&(u, v)| (slot_of(u), slot_of(v)))
         .filter(|&(u, v)| u != v)
         .collect();
-    sedges.sort_unstable();
-    sedges.dedup();
+    edges.sort_unstable();
+    edges.dedup();
     let mut indeg = vec![0usize; m];
-    let mut slot_succs: Vec<Vec<usize>> = vec![Vec::new(); m];
-    for &(u, v) in &sedges {
+    for &(_, v) in &edges {
         indeg[v] += 1;
-        slot_succs[u].push(v);
     }
-    let mut ready: Vec<usize> = (0..m).filter(|&s| indeg[s] == 0).collect();
-    let mut relay: Vec<Vec<usize>> = Vec::with_capacity(m);
-    while !ready.is_empty() {
-        ready.sort_unstable_by(|a, b| b.cmp(a));
-        let s = ready.pop().expect("non-empty");
-        relay.push(slots[s].clone());
-        for &t in &slot_succs[s] {
-            indeg[t] -= 1;
-            if indeg[t] == 0 {
-                ready.push(t);
+    let mut ready: BTreeSet<usize> = (0..m).filter(|&s| indeg[s] == 0).collect();
+    let mut slots = Vec::with_capacity(m);
+    while let Some(s) = ready.pop_first() {
+        slots.push(
+            (0..chunks.len())
+                .filter(|&c| slot_of(c) == s)
+                .map(|id| RelayChunk {
+                    id,
+                    pu: chunks[id].pu,
+                    stages: chunks[id].stages.clone(),
+                })
+                .collect(),
+        );
+        for &(_, v) in edges.iter().filter(|&&(u, _)| u == s) {
+            indeg[v] -= 1;
+            if indeg[v] == 0 {
+                ready.insert(v);
             }
         }
     }
-    debug_assert_eq!(relay.len(), m, "schedule validation guarantees acyclicity");
-    let chunk_order: Vec<usize> = relay.iter().flatten().copied().collect();
-
-    let duration_mode = cfg.duration.is_some();
-    let total = if duration_mode {
-        u64::MAX
-    } else {
-        (cfg.tasks + cfg.warmup) as u64
-    };
-    let deadline = cfg.duration.map(|d| Instant::now() + d);
-    let buffers = if cfg.buffers == 0 {
-        k + 1
-    } else {
-        cfg.buffers as usize
-    };
-
-    // One ring per relay edge lane: consecutive slots are connected by one
-    // ring, or by two when either side is the replica pair (lane `l`
-    // carries the tasks with `seq % 2 == l`).
-    let mut in_rx: Vec<Vec<spsc::Consumer<Msg<P>>>> = (0..k).map(|_| Vec::new()).collect();
-    let mut out_tx: Vec<Vec<spsc::Producer<Msg<P>>>> = (0..k).map(|_| Vec::new()).collect();
-    for w in relay.windows(2) {
-        let (up, down) = (&w[0], &w[1]);
-        if up.len() == 1 && down.len() == 2 {
-            for &d in down {
-                let (tx, rx) = spsc::channel(buffers.max(1)).expect("capacity is at least 1");
-                out_tx[up[0]].push(tx);
-                in_rx[d].push(rx);
-            }
-        } else if up.len() == 2 {
-            for &u in up {
-                let (tx, rx) = spsc::channel(buffers.max(1)).expect("capacity is at least 1");
-                out_tx[u].push(tx);
-                in_rx[down[0]].push(rx);
-            }
-        } else {
-            let (tx, rx) = spsc::channel(buffers.max(1)).expect("capacity is at least 1");
-            out_tx[up[0]].push(tx);
-            in_rx[down[0]].push(rx);
-        }
-    }
-    let (mut recycle_tx, recycle_rx) =
-        spsc::channel::<Box<TaskObject<P>>>(buffers.max(1)).expect("capacity is at least 1");
-    for _ in 0..buffers {
-        let obj = Box::new(TaskObject::new(app.new_payload()));
-        recycle_tx
-            .push(obj)
-            .unwrap_or_else(|_| unreachable!("capacity equals the pool size"));
-    }
-
-    let signals = DegradeSignals::new();
-    let failed_chunk = AtomicUsize::new(usize::MAX);
-    let submitted = AtomicUsize::new(0);
-    let outputs: Vec<ChunkOutput> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(k);
-        let mut recycle_rx = Some(recycle_rx);
-        let mut recycle_tx = Some(recycle_tx);
-        let mut in_rx = in_rx;
-        let mut out_tx = out_tx;
-
-        for (pos, &ci) in chunk_order.iter().enumerate() {
-            let is_head = pos == 0;
-            let is_tail = pos == k - 1;
-            let mut inputs = std::mem::take(&mut in_rx[ci]);
-            let mut output = std::mem::take(&mut out_tx[ci]);
-            let mut head_rx = if is_head { recycle_rx.take() } else { None };
-            let mut tail_tx = if is_tail { recycle_tx.take() } else { None };
-            let stage_list = chunks[ci].stages.clone();
-            let ctx = ParCtx::new(threads.threads(chunks[ci].pu));
-            let pin_cores: Vec<usize> = cfg
-                .affinity
-                .as_ref()
-                .map(|m| m.pinnable(chunks[ci].pu).to_vec())
-                .unwrap_or_default();
-
-            let signals = &signals;
-            let failed_chunk = &failed_chunk;
-            let submitted = &submitted;
-            handles.push(scope.spawn(move || {
-                crate::affinity::pin_current_thread(&pin_cores);
-
-                let mut out = ChunkOutput::default();
-                let halt = &signals.halt;
-                let count = cfg.telemetry.counters;
-                let mut counters = DispatcherCounters::new();
-                let mut busy = Duration::ZERO;
-                let mut spans: Vec<(u64, Instant, Instant)> = Vec::new();
-
-                // Fail-fast single attempt (resilient DAG execution is
-                // rejected up front): a panic records the chunk, halts the
-                // pipeline, and returns `false`.
-                let mut run_chunk = |obj: &mut TaskObject<P>, ctx: &ParCtx| -> bool {
-                    let t0 = Instant::now();
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        for &s in &stage_list {
-                            app.stages()[s].run(&mut obj.payload, ctx);
-                        }
-                    }));
-                    let t1 = Instant::now();
-                    busy += t1 - t0;
-                    spans.push((obj.seq, t0, t1));
-                    if result.is_err() {
-                        failed_chunk
-                            .compare_exchange(usize::MAX, ci, Ordering::SeqCst, Ordering::SeqCst)
-                            .ok();
-                        halt.store(true, Ordering::SeqCst);
-                        return false;
-                    }
-                    true
-                };
-                let stop_all = |output: &mut Vec<spsc::Producer<Msg<P>>>| {
-                    for tx in output.iter_mut() {
-                        let _ = push_until(tx, Msg::Stop, halt);
-                    }
-                };
-
-                if is_head {
-                    let rx = head_rx.as_mut().expect("head owns the recycle consumer");
-                    for seq in 0..total {
-                        if let Some(d) = deadline {
-                            if Instant::now() >= d {
-                                break;
-                            }
-                        }
-                        let t0 = count.then(Instant::now);
-                        let popped = pop_watchdog(rx, halt, None);
-                        if let Some(t0) = t0 {
-                            counters.record_blocked_pop(t0.elapsed());
-                        }
-                        let mut obj = match popped {
-                            ResilientPop::Got(o) => o,
-                            _ => break,
-                        };
-                        obj.recycle(seq);
-                        app.load_input(&mut obj.payload, seq);
-                        out.entries.push(obj.entered.expect("stamped by recycle"));
-                        submitted.fetch_add(1, Ordering::Relaxed);
-                        if !run_chunk(&mut obj, &ctx) {
-                            break;
-                        }
-                        if is_tail {
-                            let entered = obj.entered.expect("stamped");
-                            let now = Instant::now();
-                            out.completions.push((seq, now - entered, now));
-                            if !push_timed(
-                                tail_tx.as_mut().expect("tail owns the recycle producer"),
-                                obj,
-                                halt,
-                                count,
-                                &mut counters,
-                            ) {
-                                break;
-                            }
-                        } else {
-                            let lane = if output.len() == 2 {
-                                (seq & 1) as usize
-                            } else {
-                                0
-                            };
-                            if !push_timed(
-                                &mut output[lane],
-                                Msg::Task(obj),
-                                halt,
-                                count,
-                                &mut counters,
-                            ) {
-                                break;
-                            }
-                        }
-                    }
-                    stop_all(&mut output);
-                } else {
-                    let lanes = inputs.len();
-                    let mut lane = 0usize;
-                    let mut stopped = vec![false; lanes];
-                    loop {
-                        if stopped[lane] {
-                            lane = (lane + 1) % lanes;
-                            if stopped[lane] {
-                                stop_all(&mut output);
-                                break;
-                            }
-                        }
-                        let t0 = count.then(Instant::now);
-                        let popped = pop_watchdog(&mut inputs[lane], halt, None);
-                        if let Some(t0) = t0 {
-                            counters.record_blocked_pop(t0.elapsed());
-                        }
-                        match popped {
-                            ResilientPop::Got(Msg::Stop) => {
-                                stopped[lane] = true;
-                                lane = (lane + 1) % lanes;
-                            }
-                            ResilientPop::Got(Msg::Task(mut obj)) => {
-                                let seq = obj.seq;
-                                lane = (lane + 1) % lanes;
-                                if halt.load(Ordering::Relaxed) {
-                                    continue; // drain to unblock upstream
-                                }
-                                if !run_chunk(&mut obj, &ctx) {
-                                    stop_all(&mut output);
-                                    continue; // keep draining
-                                }
-                                if is_tail {
-                                    let entered = obj.entered.expect("stamped by head");
-                                    let now = Instant::now();
-                                    out.completions.push((seq, now - entered, now));
-                                    if !push_timed(
-                                        tail_tx.as_mut().expect("tail recycles"),
-                                        obj,
-                                        halt,
-                                        count,
-                                        &mut counters,
-                                    ) {
-                                        break;
-                                    }
-                                } else {
-                                    let l = if output.len() == 2 {
-                                        (seq & 1) as usize
-                                    } else {
-                                        0
-                                    };
-                                    if !push_timed(
-                                        &mut output[l],
-                                        Msg::Task(obj),
-                                        halt,
-                                        count,
-                                        &mut counters,
-                                    ) {
-                                        break;
-                                    }
-                                }
-                            }
-                            _ => break,
-                        }
-                    }
-                }
-                if count {
-                    counters.tasks = spans.len() as u64;
-                    counters.busy = busy;
-                }
-                out.counters = counters;
-                out.spans = spans;
-                out
-            }));
-        }
-
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("dispatcher threads do not panic"))
-            .collect()
-    });
-
-    let panicked = failed_chunk.load(Ordering::SeqCst);
-    if panicked != usize::MAX {
-        return Err(PipelineError::StagePanicked { chunk: panicked });
-    }
-
-    let submitted = submitted.load(Ordering::SeqCst) as u64;
-    let completed = outputs[k - 1].completions.len() as u64;
-    let dropped = submitted - completed;
-    debug_assert_eq!(dropped, 0, "fail-fast run lost tasks without erroring");
-
-    let finished = outputs[k - 1].completions.len();
-    if finished.saturating_sub(cfg.warmup as usize) == 0 {
-        return Err(PipelineError::NoTasks);
-    }
-    let (stats, timeline, telemetry) = assemble(&outputs, cfg, k);
-    Ok(RunReport {
-        submitted,
-        completed,
-        dropped,
-        faults_fired: 0,
-        stats,
-        timeline,
-        telemetry,
-        degraded: signals.reason(),
-    })
+    debug_assert_eq!(slots.len(), m, "schedule validation guarantees acyclicity");
+    relay(app, slots, threads, cfg, res)
 }
 
-/// Builds the steady-state measurement of a (possibly degraded) run.
+/// Builds the steady-state measurement, timeline and telemetry of a
+/// (possibly degraded) run from its per-chunk outputs, head first and
+/// tail last — for the relay and for each [`crate::run_multi_host`]
+/// tenant alike.
 ///
 /// Task sequence numbers can be sparse — dropped tasks leave gaps — so the
 /// window is anchored positionally: the first `warmup` *completions* are
@@ -1118,13 +795,11 @@ pub fn run_host_dag<P: Send + 'static>(
 /// departure over the rest. With nothing dropped (every clean run) tail
 /// completions arrive in sequence order, so this coincides with the
 /// sequence-indexed convention of the simulator.
-fn assemble(
+pub(crate) fn assemble(
     outputs: &[ChunkOutput],
     cfg: &RunConfig,
-    k: usize,
 ) -> (Option<RunStats>, Vec<TimelineSpan>, Option<RunTelemetry>) {
-    let entries = &outputs[0].entries;
-    let completions = &outputs[k - 1].completions;
+    let completions = &outputs[outputs.len() - 1].completions;
     let n = completions.len();
     if n == 0 {
         return (None, Vec::new(), None);
@@ -1135,7 +810,8 @@ fn assemble(
     } else if n > 1 {
         (completions[0].2, 0, (n - 1) as u32)
     } else {
-        (w_fallback(entries), 0, 1)
+        let entry = outputs[0].entries.first().copied();
+        (entry.unwrap_or_else(Instant::now), 0, 1)
     };
     let w_end = completions[n - 1].2;
     let makespan = w_end.saturating_duration_since(w_start);
@@ -1145,7 +821,7 @@ fn assemble(
     let span = makespan.as_secs_f64().max(1e-12);
     // Busy time clipped to [w_start, w_end]: warmup and fill work outside
     // the window cannot inflate utilization, which is ≤ 1 by construction
-    // (a dispatcher's spans never overlap each other).
+    // (a chunk's spans never overlap each other).
     let chunk_utilization: Vec<f64> = outputs
         .iter()
         .map(|o| {
@@ -1163,7 +839,7 @@ fn assemble(
         .max_by(|a, b| a.1.total_cmp(b.1))
         .map_or(0, |(i, _)| i);
     // Timeline and telemetry spans share one epoch: the earliest recorded
-    // instant across all dispatchers.
+    // instant across all chunks.
     let epoch = outputs
         .iter()
         .flat_map(|o| o.spans.iter().map(|&(_, s, _)| s))
@@ -1193,7 +869,13 @@ fn assemble(
             t.dispatchers = outputs
                 .iter()
                 .enumerate()
-                .map(|(ci, o)| o.counters.stats(format!("chunk{ci}")))
+                .map(|(ci, o)| {
+                    let mut c = o.counters;
+                    for &(_, s, e) in &o.spans {
+                        c.record_task(e - s);
+                    }
+                    c.stats(format!("chunk{ci}"))
+                })
                 .collect();
         }
         if cfg.telemetry.spans {
@@ -1809,19 +1491,7 @@ mod tests {
     fn dag_resilience_and_graph_mismatch_are_typed_errors() {
         use bt_soc::PuClass::*;
         let g = diamond_graph();
-        let app = dag_trace_app(&g, Arc::new(AtomicU64::new(0)));
         let schedule = DagSchedule::new(vec![LittleCpu, Gpu, BigCpu, MediumCpu], &g).unwrap();
-        assert_eq!(
-            run_host_dag(
-                &app,
-                &schedule,
-                &PuThreads::uniform(1),
-                &cfg(5, 0),
-                Some(&ResilienceConfig::default()),
-            )
-            .unwrap_err(),
-            PipelineError::ResilienceUnsupported
-        );
         // Same stage count, different dependency structure.
         let chain_app = trace_app(4, Arc::new(AtomicU64::new(0)));
         assert_eq!(
@@ -1874,6 +1544,210 @@ mod tests {
         let err =
             run_host_dag(&app, &schedule, &PuThreads::uniform(1), &cfg(50, 0), None).unwrap_err();
         assert!(matches!(err, PipelineError::StagePanicked { .. }));
+        assert!(t0.elapsed() < Duration::from_secs(5));
+    }
+
+    /// Application whose input source panics at seq 3, on every attempt.
+    fn panicking_source_app(stages: usize) -> Application<Trace> {
+        Application::new(
+            "bad-source",
+            trace_app(stages, Arc::new(AtomicU64::new(0)))
+                .stages()
+                .to_vec(),
+            Arc::new(Trace::default),
+            Arc::new(|t: &mut Trace, seq| {
+                assert!(seq != 3, "injected source fault");
+                t.seq = seq;
+                t.visits.clear();
+            }),
+        )
+    }
+
+    #[test]
+    fn panicking_source_fails_fast_or_tombstones() {
+        use bt_soc::PuClass::*;
+        let app = panicking_source_app(2);
+        let schedule = Schedule::new(vec![BigCpu, Gpu]).unwrap();
+        assert_eq!(
+            run_host(&app, &schedule, &PuThreads::uniform(1), &cfg(10, 0), None).unwrap_err(),
+            PipelineError::StagePanicked { chunk: 0 }
+        );
+        let res = ResilienceConfig {
+            retries: 1,
+            ..quick_res()
+        };
+        let report = run_host(
+            &app,
+            &schedule,
+            &PuThreads::uniform(1),
+            &cfg(10, 0),
+            Some(&res),
+        )
+        .unwrap();
+        assert_eq!((report.submitted, report.completed), (10, 9));
+        assert_eq!((report.dropped, report.faults_fired), (1, 1));
+        assert_eq!(
+            report.degraded,
+            Some(DegradeReason::KernelFailures { chunk: 0 })
+        );
+    }
+
+    /// DAG application whose stage `i` first calls `hook(i, seq)` (which
+    /// may panic or stall), then checks its dependencies already ran; the
+    /// sink logs the visit order of every task that reaches it.
+    fn hooked_dag_app(
+        graph: &bt_kernels::TaskGraph,
+        hook: fn(usize, u64),
+        done: Arc<std::sync::Mutex<Vec<Vec<usize>>>>,
+    ) -> Application<Trace> {
+        let preds = graph.pred_sets();
+        let sink = graph.len() - 1;
+        let stage_list = (0..graph.len())
+            .map(|i| {
+                let my_preds = preds[i].clone();
+                let done = Arc::clone(&done);
+                Stage::new(
+                    format!("s{i}"),
+                    bt_soc::WorkProfile::new(1.0, 1.0),
+                    Arc::new(move |t: &mut Trace, _ctx: &ParCtx| {
+                        hook(i, t.seq);
+                        assert!(my_preds.iter().all(|p| t.visits.contains(p)));
+                        t.visits.push(i);
+                        if i == sink {
+                            done.lock().unwrap().push(t.visits.clone());
+                        }
+                    }) as bt_kernels::KernelFn<Trace>,
+                )
+            })
+            .collect();
+        Application::from_task_graph(
+            "hooked",
+            stage_list,
+            graph,
+            Arc::new(Trace::default),
+            Arc::new(|t: &mut Trace, seq| {
+                t.seq = seq;
+                t.visits.clear();
+            }),
+        )
+        .unwrap()
+    }
+
+    /// Runs `schedule` resiliently with stage `hook`'s fault at seq 5 and
+    /// checks the tombstone went through forks, joins and replica lanes:
+    /// one drop, named by `failing_chunk`, and every completed task ran
+    /// all stages once in dependency order.
+    fn assert_one_tombstone(
+        g: &bt_kernels::TaskGraph,
+        schedule: &DagSchedule,
+        hook: fn(usize, u64),
+        failing_chunk: usize,
+    ) {
+        let done = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let app = hooked_dag_app(g, hook, Arc::clone(&done));
+        let res = ResilienceConfig {
+            retries: 1,
+            ..quick_res()
+        };
+        let report = run_host_dag(
+            &app,
+            schedule,
+            &PuThreads::uniform(1),
+            &cfg(16, 0),
+            Some(&res),
+        )
+        .unwrap();
+        assert_eq!(report.dropped, 1);
+        assert_eq!(report.faults_fired, 1);
+        assert_eq!(report.completed + report.dropped, report.submitted);
+        assert_eq!(
+            report.degraded,
+            Some(DegradeReason::KernelFailures {
+                chunk: failing_chunk
+            })
+        );
+        let done = done.lock().unwrap();
+        assert_eq!(done.len() as u64, report.completed);
+        for visits in done.iter() {
+            let mut sorted = visits.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..g.len()).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn resilient_diamond_tombstones_a_failing_branch() {
+        use bt_soc::PuClass::*;
+        let g = diamond_graph();
+        let schedule = DagSchedule::new(vec![LittleCpu, Gpu, BigCpu, MediumCpu], &g).unwrap();
+        let branch = schedule
+            .chunks()
+            .iter()
+            .position(|c| c.stages == [2])
+            .unwrap();
+        assert_one_tombstone(
+            &g,
+            &schedule,
+            |stage, seq| assert!(stage != 2 || seq != 5, "injected"),
+            branch,
+        );
+    }
+
+    #[test]
+    fn resilient_replica_lane_tombstones_and_keeps_order() {
+        use bt_soc::PuClass::*;
+        // Stage 1 replicated on a diamond; stage 0 and 2 share a chunk.
+        let g = diamond_graph();
+        let schedule = DagSchedule::replicated(
+            vec![LittleCpu, BigCpu, LittleCpu, MediumCpu],
+            &g,
+            1,
+            (BigCpu, Gpu),
+        )
+        .unwrap();
+        let (_, odd_lane) = schedule.replica_pair().unwrap();
+        // Seq 5 takes lane 1: the second replica chunk.
+        assert_one_tombstone(
+            &g,
+            &schedule,
+            |stage, seq| assert!(stage != 1 || seq != 5, "injected"),
+            odd_lane,
+        );
+    }
+
+    #[test]
+    fn hung_dag_branch_trips_watchdog() {
+        use bt_soc::PuClass::*;
+        let g = diamond_graph();
+        let app = hooked_dag_app(
+            &g,
+            |stage, seq| {
+                if stage == 1 && seq == 2 {
+                    std::thread::sleep(Duration::from_millis(400));
+                }
+            },
+            Arc::new(std::sync::Mutex::new(Vec::new())),
+        );
+        let schedule = DagSchedule::new(vec![LittleCpu, Gpu, BigCpu, MediumCpu], &g).unwrap();
+        let res = ResilienceConfig {
+            watchdog: Some(Duration::from_millis(50)),
+            retries: 0,
+            ..quick_res()
+        };
+        let t0 = Instant::now();
+        let report = run_host_dag(
+            &app,
+            &schedule,
+            &PuThreads::uniform(1),
+            &cfg(50, 0),
+            Some(&res),
+        )
+        .unwrap();
+        assert!(matches!(
+            report.degraded,
+            Some(DegradeReason::WatchdogTimeout { .. })
+        ));
+        assert_eq!(report.completed + report.dropped, report.submitted);
         assert!(t0.elapsed() < Duration::from_secs(5));
     }
 }

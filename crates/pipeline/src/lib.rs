@@ -4,13 +4,17 @@
 //! chunk) pass recycled [`TaskObject`]s through lock-free SPSC queues,
 //! with best-effort thread pinning to the chunk's CPU cluster.
 //!
-//! Two executors share the [`Schedule`] abstraction, one [`RunConfig`],
-//! and one [`RunReport`]:
+//! The executors share the schedule abstractions ([`Schedule`],
+//! [`DagSchedule`]), one [`RunConfig`], and one [`RunReport`]:
 //!
-//! - [`run_host`] — real threads on the development machine, running the
-//!   actual kernels from `bt-kernels` (demonstrates the runtime substrate
-//!   end to end). Pass `Some(&ResilienceConfig)` for fault-tolerant
+//! - [`run_host`] / [`run_host_dag`] — real threads on the development
+//!   machine, running the actual kernels from `bt-kernels` through one
+//!   relay dispatcher loop for chains, fork/join DAGs and replicated
+//!   stages alike. Pass `Some(&ResilienceConfig)` for fault-tolerant
 //!   execution, `None` for fail-fast.
+//! - [`run_multi_host`] — N co-running tenants on one fixed
+//!   work-stealing worker pool, one report (timeline and telemetry
+//!   included) per tenant.
 //! - [`simulate_schedule`] — the discrete-event simulator of `bt-soc`,
 //!   producing the "measured on device" numbers of the paper's
 //!   experiments. Pass `Some(&FaultSpec)` to inject faults.

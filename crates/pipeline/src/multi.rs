@@ -18,15 +18,17 @@
 //! submitted` accounting of the unified run model — is maintained exactly
 //! as in the dedicated executor.
 //!
-//! Failure policy: a panicking stage kernel is caught, the task is
-//! tombstoned (counted as dropped and as a fired fault) and its payload
-//! rebuilt from the tenant's factory, and the object keeps flowing so the
-//! pool never shrinks. Hung kernels are out of scope here — the watchdog
-//! machinery lives in [`crate::run_host`]'s resilient mode.
+//! Failure policy: a panicking stage kernel or input source is caught,
+//! the task is tombstoned (counted as dropped and as a fired fault) and
+//! its payload rebuilt from the tenant's factory, and the object keeps
+//! flowing so the pool never shrinks. Hung kernels are out of scope here —
+//! the watchdog machinery lives in [`crate::run_host`]'s resilient mode.
 //!
-//! Telemetry and timeline collection are not supported in multi-tenant
-//! host runs; the per-tenant reports carry `telemetry: None` and an empty
-//! timeline.
+//! Each tenant's report comes from the same builder as the relay's, so
+//! `record_timeline` and `telemetry` are honoured per tenant: one span per
+//! station serve, and one dispatcher entry per tenant chunk carrying
+//! `tasks` and `busy` (the ring-wait fields stay zero — the pool has no
+//! rings).
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -34,11 +36,12 @@ use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bt_kernels::{Application, ParCtx};
-use bt_soc::{Micros, RunConfig, RunReport, RunStats};
+use bt_soc::{RunConfig, RunReport};
 
+use crate::executor::{assemble, check_stages, ChunkOutput};
 use crate::{PipelineError, Schedule, TaskObject};
 
 /// Type-erased task payload: tenants of different payload types co-run in
@@ -118,12 +121,7 @@ impl Tenant {
         schedule: &Schedule,
         cfg: RunConfig,
     ) -> Result<Tenant, PipelineError> {
-        if schedule.stage_count() != app.stage_count() {
-            return Err(PipelineError::StageMismatch {
-                app: app.stage_count(),
-                schedule: schedule.stage_count(),
-            });
-        }
+        check_stages(app.stage_count(), schedule.stage_count())?;
         if cfg.tasks == 0 {
             return Err(PipelineError::NoTasks);
         }
@@ -245,13 +243,15 @@ struct Station {
     kernels: *const [ErasedKernel],
     claim: AtomicBool,
     input: Mutex<VecDeque<Box<TaskObject<ErasedPayload>>>>,
-    /// `(start, end)` of every serve on this station; utilization needs
-    /// the raw spans because the window is only known post-run.
-    spans: Mutex<Vec<(Instant, Instant)>>,
+    /// The station's spans (and, at the head and tail, its entries and
+    /// completions), locked only by the claim holder until the run ends.
+    out: Mutex<ChunkOutput>,
 }
 
-// The raw kernel-slice pointer borrows from the TenantSet, which outlives
-// the scoped worker threads; Station is only shared within that scope.
+// SAFETY: every field but `kernels` is Send + Sync (indices, atomics, and
+// mutexes over Send data). The raw kernel-slice pointer borrows from the
+// TenantSet, which outlives the scoped worker threads; Station is only
+// shared within that scope, and the kernels are `Fn + Send + Sync`.
 unsafe impl Send for Station {}
 unsafe impl Sync for Station {}
 
@@ -261,12 +261,7 @@ struct TenantRt {
     /// Tasks admitted at the head (mutated only under the head station's
     /// claim; atomic for cross-worker visibility).
     started: AtomicU64,
-    dropped: AtomicU64,
     faults: AtomicU32,
-    entries: Mutex<Vec<Instant>>,
-    /// `(seq, residence, finished_at)` in completion order (the tail
-    /// station is claim-serialized).
-    completions: Mutex<Vec<(u64, Duration, Instant)>>,
 }
 
 /// The work-stealing queue fabric: a global injector plus one deque per
@@ -405,30 +400,32 @@ impl Pool<'_> {
             input.pop_front()?
         };
 
+        let mut out = st.out.lock().expect("output lock");
         if is_head {
             let seq = tenant.started.load(Ordering::Acquire);
             tenant.started.store(seq + 1, Ordering::Release);
             obj.recycle(seq);
-            (self.sources[st.tenant])(&mut obj.payload, seq);
-            tenant
-                .entries
-                .lock()
-                .expect("entries lock")
-                .push(obj.entered.expect("stamped by recycle"));
+            out.entries.push(obj.entered.expect("stamped by recycle"));
         }
 
         // Tombstoned tasks flow through without executing (the pool must
-        // not shrink); everything else runs the chunk's kernel sequence.
+        // not shrink); everything else runs the chunk's kernel sequence,
+        // the head loading the task's input first (outside the span).
         if !obj.dropped {
+            // SAFETY: the pointer came from a live TenantSet slice that
+            // outlives this worker scope (see the Station impls).
             let kernels: &[ErasedKernel] = unsafe { &*st.kernels };
-            let t0 = Instant::now();
+            let mut t0 = Instant::now();
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                if is_head {
+                    (self.sources[st.tenant])(&mut obj.payload, obj.seq);
+                    t0 = Instant::now();
+                }
                 for k in kernels {
                     k(&mut obj.payload, ctx);
                 }
             }));
-            let t1 = Instant::now();
-            st.spans.lock().expect("spans lock").push((t0, t1));
+            out.spans.push((obj.seq, t0, Instant::now()));
             if result.is_err() {
                 obj.dropped = true;
                 tenant.faults.fetch_add(1, Ordering::Relaxed);
@@ -439,6 +436,7 @@ impl Pool<'_> {
 
         match st.next {
             Some(next) => {
+                drop(out);
                 self.stations[next]
                     .input
                     .lock()
@@ -448,16 +446,13 @@ impl Pool<'_> {
             }
             None => {
                 if obj.dropped {
-                    tenant.dropped.fetch_add(1, Ordering::Relaxed);
+                    out.tombstones += 1;
                 } else {
                     let entered = obj.entered.expect("stamped at head");
                     let now = Instant::now();
-                    tenant.completions.lock().expect("completions lock").push((
-                        obj.seq,
-                        now - entered,
-                        now,
-                    ));
+                    out.completions.push((obj.seq, now - entered, now));
                 }
+                drop(out);
                 self.stations[st.head]
                     .input
                     .lock()
@@ -529,30 +524,26 @@ pub fn run_multi_host(
             let mut input = VecDeque::with_capacity(buffers);
             if li == 0 {
                 for _ in 0..buffers {
-                    let mut obj = TaskObject::new((tenant.factory)());
-                    // Pre-stamp so a debug inspection never sees None.
-                    obj.entered = None;
-                    input.push_back(Box::new(obj));
+                    input.push_back(Box::new(TaskObject::new((tenant.factory)())));
                 }
             }
             stations.push(Station {
                 tenant: tenants_rt.len(),
                 next: (li + 1 < k).then_some(g + 1),
                 head,
-                kernels: tenant.chunks[li].kernels.as_slice() as *const _,
+                kernels: chunk.kernels.as_slice() as *const _,
                 claim: AtomicBool::new(false),
                 input: Mutex::new(input),
-                spans: Mutex::new(Vec::with_capacity(total as usize)),
+                out: Mutex::new(ChunkOutput {
+                    spans: Vec::with_capacity(total as usize),
+                    ..ChunkOutput::default()
+                }),
             });
-            let _ = chunk;
         }
         tenants_rt.push(TenantRt {
             total,
             started: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
             faults: AtomicU32::new(0),
-            entries: Mutex::new(Vec::with_capacity(total as usize)),
-            completions: Mutex::new(Vec::with_capacity(total as usize)),
         });
         factories.push(Arc::clone(&tenant.factory));
         sources.push(Arc::clone(&tenant.source));
@@ -588,33 +579,34 @@ pub fn run_multi_host(
         }
     });
 
-    // Assemble one unified report per tenant.
+    // Assemble one unified report per tenant from its stations' outputs.
+    let Pool {
+        stations, tenants, ..
+    } = pool;
+    let mut outputs: Vec<Vec<ChunkOutput>> = tenants.iter().map(|_| Vec::new()).collect();
+    for st in stations {
+        outputs[st.tenant].push(st.out.into_inner().expect("output lock"));
+    }
     let reports = set
         .tenants()
         .iter()
-        .enumerate()
-        .map(|(ti, tenant)| {
-            let rt = &pool.tenants[ti];
-            let completions = rt.completions.lock().expect("completions lock");
-            let entries = rt.entries.lock().expect("entries lock");
-            let spans: Vec<Vec<(Instant, Instant)>> = pool
-                .stations
-                .iter()
-                .filter(|s| s.tenant == ti)
-                .map(|s| s.spans.lock().expect("spans lock").clone())
-                .collect();
-            let submitted = rt.started.load(Ordering::Acquire);
-            let completed = completions.len() as u64;
-            let dropped = rt.dropped.load(Ordering::Relaxed);
+        .zip(tenants)
+        .zip(outputs)
+        .map(|((tenant, rt), outs)| {
+            let tail = &outs[outs.len() - 1];
+            let submitted = rt.started.into_inner();
+            let completed = tail.completions.len() as u64;
+            let dropped = tail.tombstones;
             debug_assert_eq!(completed + dropped, submitted);
+            let (stats, timeline, telemetry) = assemble(&outs, &tenant.cfg);
             RunReport {
                 submitted,
                 completed,
                 dropped,
-                faults_fired: rt.faults.load(Ordering::Relaxed),
-                stats: tenant_stats(&completions, &entries, &spans, tenant.cfg.warmup as usize),
-                timeline: Vec::new(),
-                telemetry: None,
+                faults_fired: rt.faults.into_inner(),
+                stats,
+                timeline,
+                telemetry,
                 degraded: None,
             }
         })
@@ -622,64 +614,11 @@ pub fn run_multi_host(
     Ok(reports)
 }
 
-/// The departure-to-departure steady-state window shared by every engine
-/// (see `assemble` in the dedicated executor and
-/// `steady_stats_from_completions` in the simulator), over one tenant's
-/// completions and per-chunk busy spans.
-fn tenant_stats(
-    completions: &[(u64, Duration, Instant)],
-    entries: &[Instant],
-    spans: &[Vec<(Instant, Instant)>],
-    warmup: usize,
-) -> Option<RunStats> {
-    let n = completions.len();
-    if n == 0 {
-        return None;
-    }
-    let (w_start, skip, intervals) = if warmup > 0 && n > warmup {
-        (completions[warmup - 1].2, warmup, (n - warmup) as u32)
-    } else if n > 1 {
-        (completions[0].2, 0, (n - 1) as u32)
-    } else {
-        (entries.first().copied().unwrap_or_else(Instant::now), 0, 1)
-    };
-    let w_end = completions[n - 1].2;
-    let makespan = w_end.saturating_duration_since(w_start);
-    let measured = &completions[skip..];
-    let mean_latency =
-        measured.iter().map(|&(_, lat, _)| lat).sum::<Duration>() / measured.len().max(1) as u32;
-    let span = makespan.as_secs_f64().max(1e-12);
-    let chunk_utilization: Vec<f64> = spans
-        .iter()
-        .map(|chunk| {
-            let in_window: Duration = chunk
-                .iter()
-                .map(|&(t0, t1)| t1.min(w_end).saturating_duration_since(t0.max(w_start)))
-                .sum();
-            in_window.as_secs_f64() / span
-        })
-        .collect();
-    let bottleneck_chunk = chunk_utilization
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map_or(0, |(i, _)| i);
-    let to_us = |d: Duration| Micros::new(d.as_secs_f64() * 1e6);
-    Some(RunStats {
-        makespan: to_us(makespan),
-        mean_task_latency: to_us(mean_latency),
-        time_per_task: to_us(makespan / intervals.max(1)),
-        throughput_hz: f64::from(intervals.max(1)) / span,
-        chunk_utilization,
-        bottleneck_chunk,
-        tasks: (n - skip) as u32,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     use bt_kernels::Stage;
     use bt_soc::PuClass::*;
@@ -937,5 +876,84 @@ mod tests {
             assert_eq!(r.dropped, 0);
         }
         assert_eq!(counter.load(Ordering::Relaxed), 3 * 9 * 2);
+    }
+
+    #[test]
+    fn panicking_source_tombstones_instead_of_hanging() {
+        let counter = Arc::new(AtomicU64::new(0));
+        let healthy = trace_app(2, Arc::clone(&counter));
+        let bad_source = Application::new(
+            "bad-source",
+            trace_app(2, Arc::clone(&counter)).stages().to_vec(),
+            Arc::new(Trace::default),
+            Arc::new(|t: &mut Trace, seq| {
+                assert!(seq != 3, "injected source fault");
+                t.seq = seq;
+            }),
+        );
+        let schedule = Schedule::new(vec![BigCpu, Gpu]).unwrap();
+        let set = TenantSet::new()
+            .with(Tenant::new("healthy", &healthy, &schedule, cfg(10, 0)).unwrap())
+            .with(Tenant::new("bad-source", &bad_source, &schedule, cfg(10, 0)).unwrap());
+        // A helper thread, so a wedged pool fails the test instead of
+        // hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper =
+            std::thread::spawn(move || tx.send(run_multi_host(&set, &WorkerBudget::new(2))));
+        let reports = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the co-run returns")
+            .unwrap();
+        helper.join().unwrap().unwrap();
+        assert_eq!((reports[0].completed, reports[0].dropped), (10, 0));
+        let bad = &reports[1];
+        assert_eq!((bad.submitted, bad.completed, bad.dropped), (10, 9, 1));
+        assert_eq!(bad.faults_fired, 1);
+    }
+
+    #[test]
+    fn co_run_telemetry_and_timeline_cover_every_serve() {
+        let traces = trace_app(3, Arc::new(AtomicU64::new(0)));
+        let strings = string_app(Arc::new(AtomicU64::new(0)));
+        let full = |tasks, warmup| RunConfig {
+            record_timeline: true,
+            telemetry: bt_telemetry::TelemetryConfig::full(),
+            ..cfg(tasks, warmup)
+        };
+        let set = TenantSet::new()
+            .with(
+                Tenant::new(
+                    "traces",
+                    &traces,
+                    &Schedule::new(vec![BigCpu, Gpu, Gpu]).unwrap(),
+                    full(12, 2),
+                )
+                .unwrap(),
+            )
+            .with(
+                Tenant::new(
+                    "strings",
+                    &strings,
+                    &Schedule::new(vec![MediumCpu, LittleCpu]).unwrap(),
+                    full(8, 1),
+                )
+                .unwrap(),
+            );
+        let reports = run_multi_host(&set, &WorkerBudget::new(2)).unwrap();
+        for (tenant, r) in set.tenants().iter().zip(&reports) {
+            let served = u64::from(tenant.config().tasks + tenant.config().warmup);
+            let chunks = tenant.chunk_count();
+            let telemetry = r.telemetry.as_ref().expect("telemetry requested");
+            assert_eq!(telemetry.dispatchers.len(), chunks, "one per tenant chunk");
+            for d in &telemetry.dispatchers {
+                assert_eq!(d.tasks, served);
+                assert_eq!(d.queue_samples, 0, "the pool has no rings");
+            }
+            assert_eq!(telemetry.spans.len(), r.timeline.len());
+            assert_eq!(r.timeline.len() as u64, served * chunks as u64);
+            for (s, e) in telemetry.spans.iter().zip(&r.timeline) {
+                assert_eq!((s.track as usize, s.task), (e.chunk, e.task));
+            }
+        }
     }
 }
